@@ -108,7 +108,9 @@ def evaluate_pipeline(records, kappa, B, config, pipeline, n_types=1, seed=0,
     Each replication couples the data with its own counter key, rebuilds
     the chosen rule from the training draw (re-fitting moments and prior
     for the EB pipeline), and scores it against the evaluation draw.
-    Failed replications are dropped and counted.
+    Replications that fail on bad data (ValueError, LinAlgError) are
+    dropped and counted; any other error, such as an EM monotonicity
+    AssertionError, is a bug and propagates.
     """
     if B < 1:
         raise ValueError("need at least one replication")
@@ -127,7 +129,7 @@ def evaluate_pipeline(records, kappa, B, config, pipeline, n_types=1, seed=0,
                     moments_config, npmle_config, seed,
                 )
             values.append(evaluate_rule(rule_fn, draws, records, config))
-        except (ValueError, AssertionError, np.linalg.LinAlgError):
+        except (ValueError, np.linalg.LinAlgError):
             dropped += 1
     if not values:
         raise RuntimeError(f"all {B} replications failed")

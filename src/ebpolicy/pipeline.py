@@ -42,8 +42,9 @@ def run_shrink(records, n_types, moments_config=None, npmle_config=None,
     else:
         k = grid.atoms.shape[0]
         prior = npmle.DiscretePrior(grid.atoms, np.full(k, 1.0 / k))
+        # with no noisy record the likelihood is constant: any prior is optimal
         diag = npmle.FitDiagnostics(
-            log_likelihood=0.0, iterations=0, converged=True
+            log_likelihood=0.0, iterations=0, converged=True, kkt_gap=0.0
         )
     shrunk = posterior.shrink_all(samples, prior, ls, provenance="empirical_bayes")
     return ShrinkResult(ls, samples, prior, grid, diag, shrunk)

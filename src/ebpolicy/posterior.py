@@ -38,7 +38,8 @@ def _kernel_weights(z, psi, prior):
     k = np.exp(logk - logk.max())
     wk = prior.weights * k
     total = wk.sum()
-    assert total > 0.0, "posterior weights vanished despite max-rescaling"
+    if not total > 0.0:
+        raise ValueError("posterior weights vanished despite max-rescaling")
     return wk / total
 
 
@@ -67,7 +68,8 @@ def tweedie_mean(z, psi, prior):
     k = np.exp(logk - logk.max())
     wk = prior.weights * k
     f = wk.sum()
-    assert f > 0.0, "mixture density vanished despite max-rescaling"
+    if not f > 0.0:
+        raise ValueError("mixture density vanished despite max-rescaling")
     psi_inv = np.linalg.inv(psi)
     # gradient of the mixture density, up to the same rescaling as f
     grad = psi_inv @ (wk[:, None] * (prior.atoms - z)).sum(axis=0)

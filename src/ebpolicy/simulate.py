@@ -226,7 +226,11 @@ def regret_experiment(spec, p, pipeline, replications, radius=1.0,
 
 def rate_table(part, J_list, p_list, pipeline_list, replications, sigma=None,
                seed=0, npmle_config=None, heteroscedastic=False):
-    """Cross-product experiment driver; failed cells carry an error string."""
+    """Regret experiments over the cross product of J, p and pipeline.
+
+    A cell that fails on bad data (ValueError, LinAlgError) carries the
+    error string; any other error is a bug and propagates.
+    """
     if not (J_list and p_list and pipeline_list):
         raise ValueError("J_list, p_list, and pipeline_list must be nonempty")
     rows = []
@@ -242,7 +246,7 @@ def rate_table(part, J_list, p_list, pipeline_list, replications, sigma=None,
                         spec, p, pipeline, replications, npmle_config=npmle_config
                     )
                     rows.append({"report": report, "error": None})
-                except Exception as exc:  # record and continue
+                except (ValueError, np.linalg.LinAlgError) as exc:
                     rows.append(
                         {
                             "report": RegretReport(

@@ -208,3 +208,40 @@ class TestEvaluatePipeline:
         )
         assert out["dropped"] == 0
         assert np.isfinite(out["mean"])
+
+    # bad data drops a replication; a solver bug must surface
+    def run_eb(self, B=2):
+        from ebpolicy.npmle import NpmleConfig
+
+        return evaluate_pipeline(
+            self.records(), 0.25, B, PlannerConfig(mu=0.5, p=2.0),
+            "empirical_bayes", seed=8,
+            npmle_config=NpmleConfig(m=8, max_iter=500, tol=1e-7),
+        )
+
+    def test_solver_assertion_propagates(self, monkeypatch):
+        from ebpolicy import npmle
+
+        def broken(*args, **kwargs):
+            raise AssertionError("EM log-likelihood decreased")
+
+        monkeypatch.setattr(npmle, "fit_npmle", broken)
+        with pytest.raises(AssertionError, match="decreased"):
+            self.run_eb()
+
+    def test_value_error_is_dropped_and_counted(self, monkeypatch):
+        from ebpolicy import npmle
+
+        real = npmle.fit_npmle
+        calls = []
+
+        def fails_once(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                raise ValueError("bad replication")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(npmle, "fit_npmle", fails_once)
+        out = self.run_eb(B=3)
+        assert out["dropped"] == 1
+        assert np.isfinite(out["mean"])

@@ -176,6 +176,26 @@ class TestFitNpmle:
             d = np.linalg.norm(prior.atoms - center, axis=1)
             assert prior.weights[d <= 0.5].sum() >= 0.4
 
+    def test_converged_gap_recomputed(self):
+        rng = np.random.default_rng(10)
+        L = rng.uniform(0.001, 1.0, size=(200, 50))
+        prior, diag = fit_npmle(L, tol=1e-8, max_iter=20000)
+        assert diag.converged
+        f = L @ prior.weights
+        gap = np.max(L.T @ (1.0 / f)) / L.shape[0] - 1.0
+        assert gap <= 1e-8
+        assert diag.kkt_gap == pytest.approx(gap, abs=1e-12)
+        assert diag.log_likelihood == pytest.approx(np.mean(np.log(f)), abs=1e-12)
+
+    def test_gap_just_above_tol_is_not_converged(self):
+        rng = np.random.default_rng(11)
+        L = rng.uniform(0.001, 1.0, size=(200, 50))
+        _, capped = fit_npmle(L, tol=1e-15, max_iter=40)
+        tol = capped.kkt_gap / 2
+        _, diag = fit_npmle(L, tol=tol, max_iter=40)
+        assert tol < diag.kkt_gap <= 10 * tol
+        assert not diag.converged
+
     def test_convergence_flag_on_iteration_cap(self):
         rng = np.random.default_rng(9)
         L = rng.uniform(0.001, 1.0, size=(200, 50))

@@ -6,6 +6,7 @@ import pytest
 from ebpolicy.moments import LocationScale, StandardizedSample
 from ebpolicy.npmle import DiscretePrior
 from ebpolicy.posterior import (
+    _kernel_weights,
     mse_regret,
     posterior_mean_residual,
     shrink_all,
@@ -193,3 +194,17 @@ class TestMseRegret:
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             mse_regret(self.make([[0, 0]]), self.make([[0, 0], [1, 1]]))
+
+
+class TestVanishingMass:
+    # all prior mass sits on an atom whose kernel underflows next to the
+    # nearest atom's, so the max-rescaled mixture is exactly 0
+    PRIOR = prior_at([[0.0, 0.0], [100.0, 100.0]], [0.0, 1.0])
+
+    def test_kernel_weights_raise_value_error(self):
+        with pytest.raises(ValueError, match="vanished"):
+            _kernel_weights(np.zeros(2), np.eye(2), self.PRIOR)
+
+    def test_tweedie_mean_raises_value_error(self):
+        with pytest.raises(ValueError, match="vanished"):
+            tweedie_mean(np.zeros(2), np.eye(2), self.PRIOR)

@@ -189,3 +189,30 @@ class TestRateTable:
         a = rate_table(1, [40], [2.0], ["plug_in"], 3, seed=14)
         b = rate_table(1, [40], [2.0], ["plug_in"], 3, seed=14)
         assert a[0]["report"].objective_gap == b[0]["report"].objective_gap
+
+    # a cell that fails on bad data is recorded; a solver bug propagates
+    def table(self):
+        return rate_table(1, [30], [2.0], ["oracle", "empirical_bayes"], 1,
+                          seed=15, npmle_config=FAST_NPMLE)
+
+    def test_solver_assertion_propagates(self, monkeypatch):
+        from ebpolicy import npmle
+
+        def broken(*args, **kwargs):
+            raise AssertionError("EM log-likelihood decreased")
+
+        monkeypatch.setattr(npmle, "fit_npmle", broken)
+        with pytest.raises(AssertionError, match="decreased"):
+            self.table()
+
+    def test_value_error_is_recorded(self, monkeypatch):
+        from ebpolicy import npmle
+
+        def bad_data(*args, **kwargs):
+            raise ValueError("bad cell")
+
+        monkeypatch.setattr(npmle, "fit_npmle", bad_data)
+        oracle, eb = self.table()
+        assert oracle["error"] is None
+        assert eb["error"] == "bad cell"
+        assert np.isnan(eb["report"].objective_gap)
