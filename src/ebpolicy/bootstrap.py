@@ -8,6 +8,7 @@ scored without bias against the second draw.
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -81,13 +82,26 @@ def evaluate_rule(rule_fn, draws, records, config):
     return float(np.sum(np.sort(contrib)))
 
 
-def _plug_in_rule(y1, sigmas, config):
-    grad = assemble_gradient(y1[:, 0], y1[:, 1], config, source="plug_in")
+PIPELINES = ("empirical_bayes", "plug_in")
+
+
+def _rule(wtp, g, config, source):
+    grad = assemble_gradient(wtp, g, config, source=source)
     rule, _ = solve_ball(grad, config)
     return rule.v
 
 
-def _eb_rule(y1, records, n_types, kappa, config, moments_config, npmle_config, seed):
+def _plug_in_rule(y1, sigmas, config):
+    return _rule(y1[:, 0], y1[:, 1], config, "plug_in")
+
+
+def _eb_rule(means, config, y1, sigmas):
+    # means come from the EB fit on this same training draw y1
+    return _rule(means[0], means[1], config, "empirical_bayes")
+
+
+def _eb_means(y1, records, n_types, kappa, moments_config, npmle_config, seed):
+    """Posterior-mean (wtp, g) from moments and a prior refit on the training draw."""
     # the training draw's covariance is the inflated (1 + kappa) Sigma_j
     train = [
         replace(r, y=y1[j], sigma=(1.0 + kappa) * r.sigma)
@@ -96,41 +110,67 @@ def _eb_rule(y1, records, n_types, kappa, config, moments_config, npmle_config, 
     result = run_shrink(train, n_types, moments_config, npmle_config, seed=seed)
     wtp = np.array([s.theta_star[0] for s in result.shrunk])
     g = np.array([s.theta_star[1] for s in result.shrunk])
-    grad = assemble_gradient(wtp, g, config, source="empirical_bayes")
-    rule, _ = solve_ball(grad, config)
-    return rule.v
+    return wtp, g
 
 
-def evaluate_pipeline(records, kappa, B, config, pipeline, n_types=1, seed=0,
-                      moments_config=None, npmle_config=None):
-    """Mean coupled-bootstrap welfare along a pipeline's spending rule.
+def evaluate_grid(records, kappa, B, configs, pipelines=PIPELINES, n_types=1,
+                  seed=0, moments_config=None, npmle_config=None):
+    """Mean coupled-bootstrap welfare for every (planner config, pipeline) cell.
 
-    Each replication couples the data with its own counter key, rebuilds
-    the chosen rule from the training draw (re-fitting moments and prior
-    for the EB pipeline), and scores it against the evaluation draw.
+    Each replication couples the data once with its own counter key and,
+    when an empirical-Bayes cell is asked for, refits moments and prior on
+    the training draw once. Every cell then builds its spending rule from
+    those shared results and scores it against the evaluation draw, so the
+    cost grows with B, not with B times the number of cells.
+
     Replications that fail on bad data (ValueError, LinAlgError) are
-    dropped and counted; any other error, such as an EM monotonicity
-    AssertionError, is a bug and propagates.
+    dropped and counted per cell: a coupling failure drops the replication
+    from every cell, an EB fit failure from every EB cell, and a scoring
+    failure from its own cell. Any other error, such as an EM monotonicity
+    AssertionError, is a bug and propagates. Returns one row per cell,
+    configs outermost.
     """
     if B < 1:
         raise ValueError("need at least one replication")
-    if pipeline not in ("empirical_bayes", "plug_in"):
-        raise ValueError(f"unknown pipeline {pipeline!r}")
-    values = []
-    dropped = 0
+    for pipeline in pipelines:
+        if pipeline not in PIPELINES:
+            raise ValueError(f"unknown pipeline {pipeline!r}")
+    cells = [(config, pipeline) for config in configs for pipeline in pipelines]
+    values = [[] for _ in cells]
+    dropped = [0] * len(cells)
+    bad_data = (ValueError, np.linalg.LinAlgError)
     for b in range(B):
         try:
             draws = couple(records, kappa, seed, rep=b)
+        except bad_data:
+            dropped = [d + 1 for d in dropped]
+            continue
+        eb_means = None  # stays None when the fit fails: every EB cell drops b
+        if "empirical_bayes" in pipelines:
+            try:
+                eb_means = _eb_means(draws.y1, records, n_types, kappa,
+                                     moments_config, npmle_config, seed)
+            except bad_data:
+                pass
+        for i, (config, pipeline) in enumerate(cells):
             if pipeline == "plug_in":
-                rule_fn = lambda y1, sigmas: _plug_in_rule(y1, sigmas, config)
+                rule_fn = partial(_plug_in_rule, config=config)
+            elif eb_means is not None:
+                rule_fn = partial(_eb_rule, eb_means, config)
             else:
-                rule_fn = lambda y1, sigmas: _eb_rule(
-                    y1, records, n_types, kappa, config,
-                    moments_config, npmle_config, seed,
-                )
-            values.append(evaluate_rule(rule_fn, draws, records, config))
-        except (ValueError, np.linalg.LinAlgError):
-            dropped += 1
+                dropped[i] += 1
+                continue
+            try:
+                values[i].append(evaluate_rule(rule_fn, draws, records, config))
+            except bad_data:
+                dropped[i] += 1
+    return [
+        _welfare_row(vals, drop, config, pipeline, kappa, B)
+        for (config, pipeline), vals, drop in zip(cells, values, dropped)
+    ]
+
+
+def _welfare_row(values, dropped, config, pipeline, kappa, B):
     if not values:
         raise RuntimeError(f"all {B} replications failed")
     values = np.array(values)
@@ -146,3 +186,14 @@ def evaluate_pipeline(records, kappa, B, config, pipeline, n_types=1, seed=0,
         "std_error": se,
         "dropped": dropped,
     }
+
+
+def evaluate_pipeline(records, kappa, B, config, pipeline, n_types=1, seed=0,
+                      moments_config=None, npmle_config=None):
+    """Mean coupled-bootstrap welfare along one pipeline's spending rule.
+
+    The one-cell case of evaluate_grid, with the same drop accounting.
+    """
+    (row,) = evaluate_grid(records, kappa, B, [config], (pipeline,), n_types,
+                           seed, moments_config, npmle_config)
+    return row

@@ -11,7 +11,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -54,7 +54,7 @@ class RunConfig:
             raise ParseError(f"unknown config keys: {sorted(unknown)}")
         return cls(**raw)
 
-    def planner_config(self, n=None):
+    def planner_config(self):
         p = dict(self.planner)
         eta = p.get("eta", 1.0)
         if isinstance(eta, list):
@@ -141,7 +141,7 @@ def cmd_solve(config, shrunk_path):
             for pid, w, c in zip(ids, wtp, g)
         ]
         signs = planner.direction_signs(shrunk, pcfg)
-    except (ValueError, AssertionError) as exc:
+    except ValueError as exc:
         raise StageError("solve", exc) from exc
     os.makedirs(config.out, exist_ok=True)
     planner.write_rule_csv(ids, rule, grad, os.path.join(config.out, "rule.csv"))
@@ -160,32 +160,21 @@ def cmd_evaluate(config):
     seed = int(bcfg.get("seed", config.seed))
     p_list = [parse_p(p) for p in bcfg.get("p_list", [config.planner.get("p", 2)])]
     mu_list = [float(m) for m in bcfg.get("mu_list", [config.planner.get("mu", 1.0)])]
-    rows = []
-    for p in p_list:
-        for mu in mu_list:
-            pcfg = PlannerConfig(
-                mu=mu,
-                eta=config.planner.get("eta", 1.0),
-                p=p,
-                radius=float(config.planner.get("radius", 1.0)),
-            )
-            for pipeline in ("empirical_bayes", "plug_in"):
-                try:
-                    rows.append(
-                        bootstrap.evaluate_pipeline(
-                            records,
-                            kappa,
-                            B,
-                            pcfg,
-                            pipeline,
-                            n_types=len(labels),
-                            seed=seed,
-                            moments_config=config.moments_config(),
-                            npmle_config=config.npmle_config(),
-                        )
-                    )
-                except (ValueError, RuntimeError) as exc:
-                    raise StageError("evaluate", exc) from exc
+    base = config.planner_config()
+    cells = [replace(base, p=p, mu=mu) for p in p_list for mu in mu_list]
+    try:
+        rows = bootstrap.evaluate_grid(
+            records,
+            kappa,
+            B,
+            cells,
+            n_types=len(labels),
+            seed=seed,
+            moments_config=config.moments_config(),
+            npmle_config=config.npmle_config(),
+        )
+    except (ValueError, RuntimeError) as exc:
+        raise StageError("evaluate", exc) from exc
     os.makedirs(config.out, exist_ok=True)
     _write_json(rows, os.path.join(config.out, "welfare.json"))
     return EXIT_OK

@@ -166,9 +166,10 @@ def direction_signs(shrunk, config):
                 rec = 1 if ratio > threshold else -1
             else:
                 rec = 1 if ratio < threshold else -1
-        assert rec == grad_sign, (
-            f"{s.policy_id}: sign rule gave {rec} but gradient sign is {grad_sign}"
-        )
+        if rec != grad_sign:
+            raise ValueError(
+                f"{s.policy_id}: sign rule gave {rec} but gradient sign is {grad_sign}"
+            )
         out.append(DirectionSign(s.policy_id, ratio, int(np.sign(g)), rec, note))
     return out
 

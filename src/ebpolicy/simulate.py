@@ -160,12 +160,8 @@ def oracle_gradient(data, spec, config):
     return grad, theta_star
 
 
-def _pipeline_estimates(data, spec, pipeline, npmle_config, moments_config, seed):
-    """Per-policy (wtp, g) estimates the pipeline feeds into the gradient."""
-    if pipeline == "oracle":
-        return oracle_posterior_means(data.y, data.sigmas, spec, data.types)
-    if pipeline == "plug_in":
-        return data.y
+def _eb_estimates(data, spec, npmle_config, moments_config, seed):
+    """Per-policy (wtp, g) posterior means from an EB fit to the draw."""
     records = [
         PolicyRecord(str(j), int(data.types[j]), data.y[j], data.sigmas[j])
         for j in range(spec.J)
@@ -174,54 +170,129 @@ def _pipeline_estimates(data, spec, pipeline, npmle_config, moments_config, seed
     return np.array([s.theta_star for s in result.shrunk])
 
 
-def regret_experiment(spec, p, pipeline, replications, radius=1.0,
-                      npmle_config=None, moments_config=None):
-    """Normalized objective gap, rule regret, and MSE regret vs the oracle."""
-    if pipeline not in PIPELINES:
-        raise ValueError(f"unknown pipeline {pipeline!r}")
-    if replications < 1:
-        raise ValueError("need at least one replication")
-    config = PlannerConfig(mu=spec.mu, eta=spec.eta, p=p, radius=radius)
-    n_p = normalization_factor(spec.J, p)
-    q = dual_exponent(p)
-    gaps, regrets, mses = [], [], []
-    for rep in range(replications):
-        data = draw(spec, rep)
-        g_oracle, theta_oracle = oracle_gradient(data, spec, config)
-        est = _pipeline_estimates(
-            data, spec, pipeline, npmle_config, moments_config, seed=spec.seed + rep
+@dataclass
+class _Cell:
+    """One (p, pipeline) cell of a regret grid and its running totals."""
+
+    p: float
+    pipeline: str
+    error: Exception = None
+    config: PlannerConfig = None
+    n_p: float = None
+    q: float = None
+    gaps: list = field(default_factory=list)
+    regrets: list = field(default_factory=list)
+    mses: list = field(default_factory=list)
+
+    def score(self, theta_oracle, est):
+        config, n_p, q = self.config, self.n_p, self.q
+        g_oracle = assemble_gradient(
+            theta_oracle[:, 0], theta_oracle[:, 1], config, source="oracle"
         )
-        g_pipe = assemble_gradient(est[:, 0], est[:, 1], config, source=pipeline)
+        g_pipe = assemble_gradient(est[:, 0], est[:, 1], config, source=self.pipeline)
         v_oracle, _ = solve_ball(g_oracle, config)
         v_pipe, _ = solve_ball(g_pipe, config)
-        gaps.append(lp_norm(g_oracle.g - g_pipe.g, q) / n_p)
-        regrets.append((g_oracle.g @ v_oracle.v - g_oracle.g @ v_pipe.v) / n_p)
-        mses.append(float(np.mean(np.sum((est - theta_oracle) ** 2, axis=1))))
-    gaps, regrets, mses = np.array(gaps), np.array(regrets), np.array(mses)
+        self.gaps.append(lp_norm(g_oracle.g - g_pipe.g, q) / n_p)
+        self.regrets.append((g_oracle.g @ v_oracle.v - g_oracle.g @ v_pipe.v) / n_p)
+        self.mses.append(float(np.mean(np.sum((est - theta_oracle) ** 2, axis=1))))
 
-    def se(x):
-        return float(x.std(ddof=1) / math.sqrt(len(x))) if len(x) > 1 else 0.0
+    def report(self, J, replications):
+        gaps, regrets, mses = np.array(self.gaps), np.array(self.regrets), np.array(self.mses)
 
-    return RegretReport(
-        J=spec.J,
-        p=p,
-        pipeline=pipeline,
-        objective_gap=float(gaps.mean()),
-        rule_regret=float(regrets.mean()),
-        mse_regret=float(mses.mean()),
-        normalization=n_p,
-        se_objective=se(gaps),
-        se_rule=se(regrets),
-        replications=replications,
-        objective_gap_median=float(np.median(gaps)),
-        rule_regret_median=float(np.median(regrets)),
-        mse_regret_median=float(np.median(mses)),
-        per_replication={
-            "objective_gap": gaps.tolist(),
-            "rule_regret": regrets.tolist(),
-            "mse_regret": mses.tolist(),
-        },
-    )
+        def se(x):
+            return float(x.std(ddof=1) / math.sqrt(len(x))) if len(x) > 1 else 0.0
+
+        return RegretReport(
+            J=J,
+            p=self.p,
+            pipeline=self.pipeline,
+            objective_gap=float(gaps.mean()),
+            rule_regret=float(regrets.mean()),
+            mse_regret=float(mses.mean()),
+            normalization=self.n_p,
+            se_objective=se(gaps),
+            se_rule=se(regrets),
+            replications=replications,
+            objective_gap_median=float(np.median(gaps)),
+            rule_regret_median=float(np.median(regrets)),
+            mse_regret_median=float(np.median(mses)),
+            per_replication={
+                "objective_gap": gaps.tolist(),
+                "rule_regret": regrets.tolist(),
+                "mse_regret": mses.tolist(),
+            },
+        )
+
+
+def regret_grid(spec, p_list, pipelines, replications, radius=1.0,
+                npmle_config=None, moments_config=None):
+    """Regret against the oracle for every (p, pipeline) cell, p outermost.
+
+    Each replication is drawn once, its oracle posterior means are computed
+    once and, when an empirical-Bayes cell is still running, its prior is
+    fit once; every cell is then scored from those shared results.
+
+    Returns one entry per cell: its RegretReport, or the first ValueError
+    or LinAlgError that stopped it. A draw or oracle failure stops every
+    running cell, an EB fit failure every running EB cell, and a scoring
+    failure its own cell. Any other error is a bug and propagates.
+    """
+    bad_data = (ValueError, np.linalg.LinAlgError)
+    cells = [_Cell(p, pipeline) for p in p_list for pipeline in pipelines]
+    for cell in cells:
+        try:
+            if cell.pipeline not in PIPELINES:
+                raise ValueError(f"unknown pipeline {cell.pipeline!r}")
+            if replications < 1:
+                raise ValueError("need at least one replication")
+            cell.config = PlannerConfig(mu=spec.mu, eta=spec.eta, p=cell.p, radius=radius)
+            cell.n_p = normalization_factor(spec.J, cell.p)
+            cell.q = dual_exponent(cell.p)
+        except ValueError as exc:
+            cell.error = exc
+    for rep in range(replications):
+        running = [c for c in cells if c.error is None]
+        if not running:
+            break
+        try:
+            data = draw(spec, rep)
+            theta_oracle = oracle_posterior_means(data.y, data.sigmas, spec, data.types)
+        except bad_data as exc:
+            for cell in running:
+                cell.error = exc
+            break
+        estimates = {"oracle": theta_oracle, "plug_in": data.y}
+        eb_cells = [c for c in running if c.pipeline == "empirical_bayes"]
+        if eb_cells:
+            try:
+                estimates["empirical_bayes"] = _eb_estimates(
+                    data, spec, npmle_config, moments_config, seed=spec.seed + rep
+                )
+            except bad_data as exc:
+                for cell in eb_cells:
+                    cell.error = exc
+        for cell in running:
+            if cell.error is not None:
+                continue
+            try:
+                cell.score(theta_oracle, estimates[cell.pipeline])
+            except bad_data as exc:
+                cell.error = exc
+    return [c.report(spec.J, replications) if c.error is None else c.error
+            for c in cells]
+
+
+def regret_experiment(spec, p, pipeline, replications, radius=1.0,
+                      npmle_config=None, moments_config=None):
+    """Normalized objective gap, rule regret, and MSE regret vs the oracle.
+
+    The one-cell case of regret_grid; a cell's error is raised.
+    """
+    (outcome,) = regret_grid(spec, [p], [pipeline], replications, radius,
+                             npmle_config, moments_config)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def rate_table(part, J_list, p_list, pipeline_list, replications, sigma=None,
@@ -239,22 +310,21 @@ def rate_table(part, J_list, p_list, pipeline_list, replications, sigma=None,
         cell_seed = seed * 1_000_003 + ji * 101
         spec = prop32_dgp(part, J, sigma=sigma, seed=cell_seed,
                           heteroscedastic=heteroscedastic)
-        for p in p_list:
-            for pipeline in pipeline_list:
-                try:
-                    report = regret_experiment(
-                        spec, p, pipeline, replications, npmle_config=npmle_config
-                    )
-                    rows.append({"report": report, "error": None})
-                except (ValueError, np.linalg.LinAlgError) as exc:
-                    rows.append(
-                        {
-                            "report": RegretReport(
-                                J, p, pipeline, math.nan, math.nan, math.nan,
-                                normalization_factor(J, p), math.nan, math.nan,
-                                replications,
-                            ),
-                            "error": str(exc),
-                        }
-                    )
+        outcomes = regret_grid(spec, p_list, pipeline_list, replications,
+                               npmle_config=npmle_config)
+        cells = [(p, pipeline) for p in p_list for pipeline in pipeline_list]
+        for (p, pipeline), outcome in zip(cells, outcomes):
+            if isinstance(outcome, Exception):
+                rows.append(
+                    {
+                        "report": RegretReport(
+                            J, p, pipeline, math.nan, math.nan, math.nan,
+                            normalization_factor(J, p), math.nan, math.nan,
+                            replications,
+                        ),
+                        "error": str(outcome),
+                    }
+                )
+            else:
+                rows.append({"report": outcome, "error": None})
     return rows

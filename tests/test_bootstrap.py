@@ -147,13 +147,17 @@ class TestEvaluateRule:
         assert abs(vals.mean() - truth) < 3 * se
 
 
+def noisy_records():
+    rng = np.random.default_rng(3)
+    return [
+        rec(str(j), rng.normal(size=2) + [2.0, 1.0], 0.5 * np.eye(2))
+        for j in range(12)
+    ]
+
+
 class TestEvaluatePipeline:
     def records(self):
-        rng = np.random.default_rng(3)
-        return [
-            rec(str(j), rng.normal(size=2) + [2.0, 1.0], 0.5 * np.eye(2))
-            for j in range(12)
-        ]
+        return noisy_records()
 
     def test_b1_reduces_to_single_evaluation(self):
         records = self.records()
@@ -245,3 +249,121 @@ class TestEvaluatePipeline:
         out = self.run_eb(B=3)
         assert out["dropped"] == 1
         assert np.isfinite(out["mean"])
+
+
+class TestEvaluateGrid:
+    # the 2 x 2 (p, mu) grid of the paper's welfare application
+    CONFIGS = [PlannerConfig(mu=mu, p=p) for p in (2.0, np.inf) for mu in (0.5, 3.0)]
+    B = 3
+
+    def records(self):
+        return noisy_records()
+
+    def npmle_config(self):
+        from ebpolicy.npmle import NpmleConfig
+
+        return NpmleConfig(m=8, max_iter=500, tol=1e-7)
+
+    def grid(self):
+        from ebpolicy.bootstrap import evaluate_grid
+
+        return evaluate_grid(self.records(), 0.25, self.B, self.CONFIGS, seed=8,
+                             npmle_config=self.npmle_config())
+
+    def one_cell(self, config, pipeline):
+        return evaluate_pipeline(self.records(), 0.25, self.B, config, pipeline,
+                                 seed=8, npmle_config=self.npmle_config())
+
+    def reference(self, config, pipeline):
+        # one cell computed the way a per-cell loop does it: couple, refit and
+        # score every replication afresh
+        from dataclasses import replace
+
+        from ebpolicy.pipeline import run_shrink
+        from ebpolicy.planner import assemble_gradient, solve_ball
+
+        records = self.records()
+
+        def rule(y1, sigmas):
+            if pipeline == "plug_in":
+                wtp, g = y1[:, 0], y1[:, 1]
+            else:
+                train = [replace(r, y=y1[j], sigma=1.25 * r.sigma)
+                         for j, r in enumerate(records)]
+                shrunk = run_shrink(train, 1, None, self.npmle_config(), seed=8).shrunk
+                wtp = np.array([s.theta_star[0] for s in shrunk])
+                g = np.array([s.theta_star[1] for s in shrunk])
+            v, _ = solve_ball(assemble_gradient(wtp, g, config, source=pipeline), config)
+            return v.v
+
+        values = np.array([
+            evaluate_rule(rule, couple(records, 0.25, 8, rep=b), records, config)
+            for b in range(self.B)
+        ])
+        return float(values.mean()), float(values.std(ddof=1) / np.sqrt(self.B))
+
+    def cells(self):
+        return [(c, p) for c in self.CONFIGS for p in ("empirical_bayes", "plug_in")]
+
+    def test_rows_equal_one_cell_runs_exactly(self):
+        rows = self.grid()
+        assert len(rows) == 8
+        for row, (config, pipeline) in zip(rows, self.cells()):
+            assert row == self.one_cell(config, pipeline)
+            assert (row["mean"], row["std_error"]) == self.reference(config, pipeline)
+            assert row["dropped"] == 0
+
+    def test_fit_failure_drops_only_eb_cells(self, monkeypatch):
+        from ebpolicy import npmle
+
+        real = npmle.fit_npmle
+        calls = []
+
+        def fails_on_rep_1(*args, **kwargs):
+            # every EB evaluation fits once per replication, in order
+            calls.append(1)
+            if len(calls) % self.B == 2:
+                raise ValueError("bad replication")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(npmle, "fit_npmle", fails_on_rep_1)
+        rows = self.grid()
+        assert len(calls) == self.B
+        for row, (config, pipeline) in zip(rows, self.cells()):
+            assert row["dropped"] == (1 if pipeline == "empirical_bayes" else 0)
+            assert row == self.one_cell(config, pipeline)
+
+    def test_couple_failure_drops_every_cell(self, monkeypatch):
+        from ebpolicy import bootstrap
+
+        real = bootstrap.couple
+
+        def fails_on_rep_1(records, kappa, seed, rep=0, xi=None):
+            if rep == 1:
+                raise np.linalg.LinAlgError("bad coupling")
+            return real(records, kappa, seed, rep=rep, xi=xi)
+
+        monkeypatch.setattr(bootstrap, "couple", fails_on_rep_1)
+        rows = self.grid()
+        for row, (config, pipeline) in zip(rows, self.cells()):
+            assert row["dropped"] == 1
+            assert row == self.one_cell(config, pipeline)
+
+    def test_scoring_failure_drops_only_its_cell(self, monkeypatch):
+        from ebpolicy import bootstrap
+
+        real = bootstrap.evaluate_rule
+        target = self.CONFIGS[1]
+        failed = []
+
+        def fails_once(rule_fn, draws, records, config):
+            # the first call for this config scores its EB cell at b = 0
+            if config is target and not failed:
+                failed.append(1)
+                raise ValueError("bad score")
+            return real(rule_fn, draws, records, config)
+
+        monkeypatch.setattr(bootstrap, "evaluate_rule", fails_once)
+        rows = self.grid()
+        dropped = [row["dropped"] for row in rows]
+        assert dropped == [0, 0, 1, 0, 0, 0, 0, 0]

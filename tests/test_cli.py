@@ -146,6 +146,37 @@ class TestEvaluate:
         for r in rows:
             assert r["B"] == 2 and np.isfinite(r["mean"])
 
+    def test_grid_couples_and_fits_once_per_replication(self, tmp_path, monkeypatch):
+        # every (p, mu) cell and both pipelines share replication b's draw and fit
+        from ebpolicy import bootstrap
+
+        calls = {"couple": 0, "run_shrink": 0}
+
+        def counted(name):
+            real = getattr(bootstrap, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(bootstrap, name, counted(name))
+        data = noisy_csv(tmp_path, n=10, types=("edu",))
+        cfg = write_config(
+            tmp_path,
+            input=data,
+            out=str(tmp_path / "out"),
+            npmle=FAST_NPMLE,
+            bootstrap={"kappa": 0.25, "B": 3, "p_list": [2, "inf"],
+                       "mu_list": [0.5, 3.0]},
+        )
+        assert main(["evaluate", "--config", cfg]) == 0
+        rows = json.loads((tmp_path / "out" / "welfare.json").read_text())
+        assert len(rows) == 8
+        assert calls == {"couple": 3, "run_shrink": 3}
+
 
 class TestSimulate:
     def test_rates_csv(self, tmp_path):

@@ -220,6 +220,22 @@ class TestDirectionSigns:
         assert out.recommended_sign == -1
         assert "eta" in out.note
 
+    def test_sign_mismatch_raises(self, monkeypatch):
+        # the invariant is checked by an explicit raise, which python -O keeps
+        from ebpolicy import planner
+
+        class FlippedSign:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def sign(x):
+                return -np.sign(x)
+
+        monkeypatch.setattr(planner, "np", FlippedSign())
+        with pytest.raises(ValueError, match="sign rule gave 1 but gradient sign is -1"):
+            direction_signs([Shrunk("kzoo", 2.012, 1.0)], PlannerConfig(mu=1.9))
+
     def test_matches_solver_sign_across_p(self):
         rng = np.random.default_rng(3)
         shrunk = [

@@ -216,3 +216,90 @@ class TestRateTable:
         assert oracle["error"] is None
         assert eb["error"] == "bad cell"
         assert np.isnan(eb["report"].objective_gap)
+
+
+class TestRegretGrid:
+    # every (p, pipeline) cell of a J block shares replication rep's draw,
+    # oracle posterior means and EB fit
+    P_LIST = [2.0, INF]
+    PIPELINES = ["oracle", "plug_in", "empirical_bayes"]
+
+    def table(self, replications=2):
+        return rate_table(1, [30, 40], self.P_LIST, self.PIPELINES, replications,
+                          seed=16, npmle_config=FAST_NPMLE)
+
+    def specs(self):
+        return [prop32_dgp(1, J, seed=16 * 1_000_003 + ji * 101)
+                for ji, J in enumerate([30, 40])]
+
+    def cells(self):
+        return [(spec, p, pipeline) for spec in self.specs()
+                for p in self.P_LIST for pipeline in self.PIPELINES]
+
+    def test_rows_equal_one_cell_runs_exactly(self):
+        rows = self.table()
+        assert len(rows) == 12
+        for row, (spec, p, pipeline) in zip(rows, self.cells()):
+            assert row["error"] is None
+            one = regret_experiment(spec, p, pipeline, 2, npmle_config=FAST_NPMLE)
+            assert row["report"] == one
+
+    def test_draws_and_fits_once_per_replication(self, monkeypatch):
+        from ebpolicy import simulate
+
+        calls = {"draw": 0, "run_shrink": 0, "oracle_posterior_means": 0}
+
+        def counted(name):
+            real = getattr(simulate, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(simulate, name, counted(name))
+        self.table()
+        # two J blocks of two replications each
+        assert calls == {"draw": 4, "run_shrink": 4, "oracle_posterior_means": 4}
+
+    def test_fit_failure_stops_only_eb_cells(self, monkeypatch):
+        from ebpolicy import npmle
+
+        real = npmle.fit_npmle
+        calls = []
+
+        def fails_on_rep_1(*args, **kwargs):
+            # each EB cell fits once per replication, in order, until it fails
+            calls.append(1)
+            if len(calls) % 2 == 0:
+                raise ValueError("bad replication")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(npmle, "fit_npmle", fails_on_rep_1)
+        rows = self.table()
+        for row, (spec, p, pipeline) in zip(rows, self.cells()):
+            if pipeline == "empirical_bayes":
+                assert row["error"] == "bad replication"
+                assert np.isnan(row["report"].objective_gap)
+                with pytest.raises(ValueError, match="bad replication"):
+                    regret_experiment(spec, p, pipeline, 2, npmle_config=FAST_NPMLE)
+            else:
+                assert row["error"] is None
+                assert row["report"] == regret_experiment(spec, p, pipeline, 2)
+
+    def test_draw_failure_stops_every_cell(self, monkeypatch):
+        from ebpolicy import simulate
+
+        def bad_draw(spec, rep=0):
+            raise np.linalg.LinAlgError("bad draw")
+
+        monkeypatch.setattr(simulate, "draw", bad_draw)
+        rows = self.table()
+        assert [row["error"] for row in rows] == ["bad draw"] * 12
+
+    def test_unknown_pipeline_is_a_cell_error(self):
+        rows = rate_table(1, [30], [2.0], ["oracle", "nope"], 1, seed=17)
+        assert rows[0]["error"] is None
+        assert rows[1]["error"] == "unknown pipeline 'nope'"
